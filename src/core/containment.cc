@@ -1,5 +1,8 @@
 #include "core/containment.h"
 
+#include <algorithm>
+#include <functional>
+
 #include "base/check.h"
 #include "core/csp_translation.h"
 #include "csp/query.h"

@@ -1,5 +1,6 @@
 #include "core/mddlog_translation.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 

@@ -6,6 +6,78 @@
 
 namespace obda::data {
 
+namespace {
+
+/// Marks an unused slot of a relation's tuple index.
+constexpr std::uint32_t kEmptySlot = static_cast<std::uint32_t>(-1);
+/// Capacity of a relation's tuple index when its first fact arrives.
+constexpr std::size_t kMinCapacity = 8;
+
+/// Index-table hash of a tuple: a multiply-fold over its constants, then
+/// the splitmix64 finalizer, so the low bits a power-of-two mask keeps
+/// depend on every constant.
+std::uint64_t TupleHash(std::span<const ConstId> t) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (ConstId c : t) h = (h ^ c) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
+
+/// True when args[p] already occurs in args[0, p): a fact is registered
+/// in FactsOf once per distinct constant.
+bool SeenBefore(std::span<const ConstId> args, std::size_t p) {
+  const auto end = args.begin() + static_cast<std::ptrdiff_t>(p);
+  return std::find(args.begin(), end, args[p]) != end;
+}
+
+}  // namespace
+
+std::size_t Instance::Probe(const RelationStore& store,
+                            std::span<const ConstId> args) {
+  const std::size_t mask = store.slots.size() - 1;
+  const std::size_t arity = args.size();
+  for (std::size_t s = TupleHash(args) & mask;; s = (s + 1) & mask) {
+    const std::uint32_t t = store.slots[s];
+    if (t == kEmptySlot ||
+        std::equal(args.begin(), args.end(),
+                   store.flat.begin() +
+                       static_cast<std::ptrdiff_t>(t * arity))) {
+      return s;
+    }
+  }
+}
+
+void Instance::EraseSlot(RelationStore& store, std::size_t arity,
+                         std::size_t hole) {
+  const std::size_t mask = store.slots.size() - 1;
+  for (std::size_t j = (hole + 1) & mask; store.slots[j] != kEmptySlot;
+       j = (j + 1) & mask) {
+    const std::uint32_t t = store.slots[j];
+    const std::size_t home =
+        TupleHash({store.flat.data() + std::size_t{t} * arity, arity}) & mask;
+    // The entry at j may fill the hole unless its home slot lies
+    // cyclically in (hole, j]: then it must stay at or after its home.
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      store.slots[hole] = t;
+      hole = j;
+    }
+  }
+  store.slots[hole] = kEmptySlot;
+}
+
+void Instance::Rehash(RelationStore& store, std::size_t arity,
+                      std::size_t capacity) {
+  const std::size_t mask = capacity - 1;
+  store.slots.assign(capacity, kEmptySlot);
+  for (std::uint32_t i = 0; i < store.size; ++i) {
+    std::size_t s =
+        TupleHash({store.flat.data() + std::size_t{i} * arity, arity}) & mask;
+    while (store.slots[s] != kEmptySlot) s = (s + 1) & mask;
+    store.slots[s] = i;
+  }
+}
+
 ConstId Instance::AddConstant(const std::string& name) {
   auto it = const_by_name_.find(name);
   if (it != const_by_name_.end()) return it->second;
@@ -47,31 +119,33 @@ std::vector<ConstId> Instance::ActiveDomain() const {
 bool Instance::AddFact(RelationId rel, std::span<const ConstId> args) {
   OBDA_CHECK_LT(rel, schema_.NumRelations());
   OBDA_CHECK_EQ(static_cast<int>(args.size()), schema_.Arity(rel));
-  std::vector<ConstId> key(args.begin(), args.end());
-  for (ConstId c : key) OBDA_CHECK_LT(c, const_names_.size());
-  auto& store = tuples_[rel];
-  // Arity-0 relations have no flat storage; their single possible tuple is
-  // represented by presence in the tuple set, with tuple index 0.
-  std::uint32_t index =
-      args.empty() ? 0
-                   : static_cast<std::uint32_t>(store.flat.size() /
-                                                args.size());
-  auto [it, inserted] = tuple_sets_[rel].emplace(key, index);
-  (void)it;
-  if (!inserted) return false;
-  store.flat.insert(store.flat.end(), args.begin(), args.end());
-  if (!args.empty()) {
+  for (ConstId c : args) OBDA_CHECK_LT(c, const_names_.size());
+  RelationStore& store = tuples_[rel];
+  const std::uint32_t index = store.size;
+  if (args.empty()) {
+    // Arity-0 relations have no flat storage: their single possible
+    // tuple is present or not, with tuple index 0.
+    if (store.size > 0) return false;
+  } else {
+    if (store.slots.empty()) Rehash(store, args.size(), kMinCapacity);
+    std::size_t slot = Probe(store, args);
+    if (store.slots[slot] != kEmptySlot) return false;
+    if ((store.size + std::size_t{1}) * 2 > store.slots.size()) {
+      Rehash(store, args.size(), store.slots.size() * 2);
+      slot = Probe(store, args);
+    }
+    store.slots[slot] = index;
+    store.flat.insert(store.flat.end(), args.begin(), args.end());
     if (store.columns.empty()) store.columns.resize(args.size());
     for (std::size_t p = 0; p < args.size(); ++p) {
       store.columns[p].push_back(args[p]);
     }
   }
+  ++store.size;
   // Register the fact once per *distinct* constant in it.
-  std::vector<ConstId> seen;
-  for (ConstId c : key) {
-    if (std::find(seen.begin(), seen.end(), c) == seen.end()) {
-      facts_of_const_[c].push_back(FactRef{rel, index});
-      seen.push_back(c);
+  for (std::size_t p = 0; p < args.size(); ++p) {
+    if (!SeenBefore(args, p)) {
+      facts_of_const_[args[p]].push_back(FactRef{rel, index});
     }
   }
   ++num_facts_;
@@ -79,8 +153,7 @@ bool Instance::AddFact(RelationId rel, std::span<const ConstId> args) {
 }
 
 bool Instance::AddFact(RelationId rel, std::initializer_list<ConstId> args) {
-  std::vector<ConstId> v(args);
-  return AddFact(rel, std::span<const ConstId>(v));
+  return AddFact(rel, std::span<const ConstId>(args.begin(), args.size()));
 }
 
 base::Status Instance::AddFactByName(
@@ -103,25 +176,33 @@ base::Status Instance::AddFactByName(
 
 bool Instance::HasFact(RelationId rel, std::span<const ConstId> args) const {
   OBDA_CHECK_LT(rel, schema_.NumRelations());
-  std::vector<ConstId> key(args.begin(), args.end());
-  return tuple_sets_[rel].count(key) > 0;
+  if (static_cast<int>(args.size()) != schema_.Arity(rel)) return false;
+  const RelationStore& store = tuples_[rel];
+  if (args.empty()) return store.size > 0;
+  return !store.slots.empty() &&
+         store.slots[Probe(store, args)] != kEmptySlot;
 }
 
 bool Instance::RemoveFact(RelationId rel, std::span<const ConstId> args) {
   OBDA_CHECK_LT(rel, schema_.NumRelations());
   OBDA_CHECK_EQ(static_cast<int>(args.size()), schema_.Arity(rel));
-  std::vector<ConstId> key(args.begin(), args.end());
-  auto it = tuple_sets_[rel].find(key);
-  if (it == tuple_sets_[rel].end()) return false;
-  const std::uint32_t index = it->second;
+  RelationStore& store = tuples_[rel];
   const std::size_t arity = args.size();
-  auto& flat = tuples_[rel].flat;
-  // Unregister once per *distinct* constant, mirroring AddFact.
-  std::vector<ConstId> seen;
-  for (ConstId c : key) {
-    if (std::find(seen.begin(), seen.end(), c) != seen.end()) continue;
-    seen.push_back(c);
-    auto& list = facts_of_const_[c];
+  std::size_t slot = 0;
+  std::uint32_t index = 0;  // arity 0: the single possible tuple
+  if (arity == 0) {
+    if (store.size == 0) return false;
+  } else {
+    if (store.slots.empty()) return false;
+    slot = Probe(store, args);
+    index = store.slots[slot];
+    if (index == kEmptySlot) return false;
+  }
+  // Unregister once per *distinct* constant, mirroring AddFact. `args`
+  // may point into this store, so it is read only before any write.
+  for (std::size_t p = 0; p < arity; ++p) {
+    if (SeenBefore(args, p)) continue;
+    auto& list = facts_of_const_[args[p]];
     for (auto ref = list.begin(); ref != list.end(); ++ref) {
       if (ref->relation == rel && ref->tuple_index == index) {
         list.erase(ref);
@@ -130,21 +211,21 @@ bool Instance::RemoveFact(RelationId rel, std::span<const ConstId> args) {
     }
   }
   if (arity > 0) {
-    const std::uint32_t last =
-        static_cast<std::uint32_t>(flat.size() / arity) - 1;
-    auto& columns = tuples_[rel].columns;
+    EraseSlot(store, arity, slot);
+    const std::uint32_t last = store.size - 1;
+    auto& flat = store.flat;
+    auto& columns = store.columns;
     if (index != last) {
-      // Swap the last tuple into the vacated slot and rebind its refs.
-      std::vector<ConstId> moved(flat.begin() + last * arity,
-                                 flat.begin() + (last + 1) * arity);
+      // Swap the last tuple into the vacated index: repoint its slot,
+      // move its constants, and rebind its refs.
+      const std::span<const ConstId> moved(flat.data() + last * arity, arity);
+      store.slots[Probe(store, moved)] = index;
       std::copy(moved.begin(), moved.end(), flat.begin() + index * arity);
-      for (std::size_t p = 0; p < arity; ++p) columns[p][index] = moved[p];
-      tuple_sets_[rel].find(moved)->second = index;
-      seen.clear();
-      for (ConstId c : moved) {
-        if (std::find(seen.begin(), seen.end(), c) != seen.end()) continue;
-        seen.push_back(c);
-        for (FactRef& ref : facts_of_const_[c]) {
+      const std::span<const ConstId> now(flat.data() + index * arity, arity);
+      for (std::size_t p = 0; p < arity; ++p) {
+        columns[p][index] = now[p];
+        if (SeenBefore(now, p)) continue;
+        for (FactRef& ref : facts_of_const_[now[p]]) {
           if (ref.relation == rel && ref.tuple_index == last) {
             ref.tuple_index = index;
             break;
@@ -155,15 +236,14 @@ bool Instance::RemoveFact(RelationId rel, std::span<const ConstId> args) {
     flat.resize(flat.size() - arity);
     for (std::size_t p = 0; p < arity; ++p) columns[p].pop_back();
   }
-  tuple_sets_[rel].erase(it);
+  --store.size;
   --num_facts_;
   return true;
 }
 
 bool Instance::RemoveFact(RelationId rel,
                           std::initializer_list<ConstId> args) {
-  std::vector<ConstId> v(args);
-  return RemoveFact(rel, std::span<const ConstId>(v));
+  return RemoveFact(rel, std::span<const ConstId>(args.begin(), args.size()));
 }
 
 base::Result<bool> Instance::RemoveFactByName(
@@ -189,13 +269,12 @@ base::Result<bool> Instance::RemoveFactByName(
 
 bool Instance::HasFact(RelationId rel,
                        std::initializer_list<ConstId> args) const {
-  std::vector<ConstId> v(args);
-  return HasFact(rel, std::span<const ConstId>(v));
+  return HasFact(rel, std::span<const ConstId>(args.begin(), args.size()));
 }
 
 std::size_t Instance::NumTuples(RelationId rel) const {
   OBDA_CHECK_LT(rel, schema_.NumRelations());
-  return tuple_sets_[rel].size();
+  return tuples_[rel].size;
 }
 
 std::span<const ConstId> Instance::Tuple(RelationId rel,

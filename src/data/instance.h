@@ -6,10 +6,8 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "base/hash.h"
 #include "base/status.h"
 #include "data/schema.h"
 
@@ -34,12 +32,15 @@ struct FactRef {
 /// (dom, D) with adom(D) ⊆ dom: CSP templates may contain isolated
 /// elements, so the universe is what homomorphisms map into.
 ///
-/// Facts are deduplicated; tuples are stored flat per relation.
+/// Facts are deduplicated; tuples are stored flat per relation, indexed
+/// by one open-addressing table of tuple indices per relation. Nothing is
+/// allocated per fact, so copying or destroying an instance costs a few
+/// vector copies or frees per relation, and HasFact/AddFact/RemoveFact
+/// allocate nothing beyond amortized growth of the stores themselves.
 class Instance {
  public:
   explicit Instance(Schema schema) : schema_(std::move(schema)) {
     tuples_.resize(schema_.NumRelations());
-    tuple_sets_.resize(schema_.NumRelations());
   }
 
   const Schema& schema() const { return schema_; }
@@ -125,16 +126,32 @@ class Instance {
     /// SoA mirror: columns[p][i] == flat[i * arity + p]. Kept in sync by
     /// AddFact/RemoveFact; sized lazily on first fact.
     std::vector<std::vector<ConstId>> columns;
+    /// Tuple index: open addressing over tuple indices into `flat`, keyed
+    /// by a hash of the tuple's constants. Power-of-two capacity (empty
+    /// until the first fact), load at most 1/2, linear probing, and
+    /// backward-shift deletion, so there are no tombstones. Unused for
+    /// arity 0.
+    std::vector<std::uint32_t> slots;
+    /// Number of tuples; for arity 0 the presence count (0 or 1).
+    std::uint32_t size = 0;
   };
+
+  /// The slot holding `args` in `store`'s index, or else the empty slot
+  /// ending its probe run. The index must have at least one slot.
+  static std::size_t Probe(const RelationStore& store,
+                           std::span<const ConstId> args);
+  /// Empties slot `hole` of `store`'s index, shifting the rest of its
+  /// probe run back so every entry stays reachable from its home slot.
+  static void EraseSlot(RelationStore& store, std::size_t arity,
+                        std::size_t hole);
+  /// Rebuilds `store`'s index at `capacity` (a power of two) slots.
+  static void Rehash(RelationStore& store, std::size_t arity,
+                     std::size_t capacity);
 
   Schema schema_;
   std::vector<std::string> const_names_;
   std::unordered_map<std::string, ConstId> const_by_name_;
   std::vector<RelationStore> tuples_;
-  /// Tuple -> index into the relation's flat store (0 for arity-0).
-  std::vector<std::unordered_map<std::vector<ConstId>, std::uint32_t,
-                                 base::VectorHash<ConstId>>>
-      tuple_sets_;
   std::vector<std::vector<FactRef>> facts_of_const_;
   std::size_t num_facts_ = 0;
   std::uint64_t fresh_counter_ = 0;

@@ -1576,6 +1576,13 @@ base::Result<Answers> GroundedQuery::ComputeCertainAnswers() {
     ws->prefilter_hits = 0;
   }
   const GroundedClauses& snapshot = *impl.snapshot;
+  // Slot 0's fresh consistency model seeds every slot whose model cache
+  // is empty, so which slot runs a chunk does not change which
+  // candidates the cache skips. Workers read this copy, not ws0.model,
+  // which slot 0 rewrites while it probes; a one-slot pool runs every
+  // chunk on slot 0 and needs no copy.
+  const std::vector<char> consistency_model =
+      slots > 1 ? ws0.model : std::vector<char>();
   const std::size_t batch_cap =
       impl.options.probe_batch > 1
           ? static_cast<std::size_t>(impl.options.probe_batch)
@@ -1590,6 +1597,7 @@ base::Result<Answers> GroundedQuery::ComputeCertainAnswers() {
         Impl::WorkerState& ws =
             *impl.worker_states[static_cast<std::size_t>(slot)];
         impl.SyncWorker(ws);
+        if (ws.model.empty()) ws.model = consistency_model;
         std::vector<ConstId> tuple(static_cast<std::size_t>(arity));
         // Candidates surviving the model-cache skip are grouped while
         // they share their ground prefix (all coordinates but the last —

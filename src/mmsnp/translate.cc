@@ -1,6 +1,7 @@
 #include "mmsnp/translate.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 

@@ -37,16 +37,19 @@ struct FactDelta {
 /// Materialize() builds — lazily, cached per generation — an immutable
 /// data::Instance snapshot. When the previous snapshot is cached and the
 /// mutation log still covers it, the new snapshot is produced by copying
-/// that instance and applying the net fact diff (O(copy + |delta|), no
-/// re-interning) instead of rebuilding from the fact list — the serving
-/// mutation path depends on this staying far below a rebuild. Either
-/// construction is deterministic for a given operation sequence; they
-/// may differ in internal tuple order, which no engine observes beyond
-/// determinism. Constant interning is SESSION-persistent:
-/// names are interned in first-ever-Assert order and every snapshot
-/// interns the full set up front, so a ConstId means the same constant in
-/// every snapshot of one session (prepared plans patch pinned groundings
-/// with fact diffs across snapshots — see PreparedQuery). Facts are added
+/// that instance and applying the net fact diff instead of rebuilding
+/// from the fact list. The copy is a few flat array copies per relation
+/// and one fact list per constant, with no per-fact allocation or
+/// re-interning; each diff fact then costs O(arity + degree of its
+/// constants). The serving mutation path depends on this staying far
+/// below a rebuild. Either construction is deterministic for a given
+/// operation sequence; they may differ in internal tuple order, which no
+/// engine observes beyond determinism. Constant interning is
+/// SESSION-persistent: names are interned in first-ever-Assert order and
+/// every snapshot interns the full set up front, so a ConstId means the
+/// same constant in every snapshot of one session (prepared plans patch
+/// pinned groundings with fact diffs across snapshots — see
+/// PreparedQuery). Facts are added
 /// in list order, so a given operation sequence always yields
 /// bit-identical snapshots (and thus bit-identical ConstId answer tuples)
 /// regardless of timing or thread count. Snapshots are shared_ptr so

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "base/hash.h"
 #include "base/rng.h"
 #include "data/generator.h"
 #include "data/homomorphism.h"
@@ -536,6 +541,226 @@ TEST(InstanceTest, ColumnsMirrorFlatUnderChurn) {
     if (step % 40 == 0) CheckColumnsMirrorTuples(d);
   }
   CheckColumnsMirrorTuples(d);
+}
+
+
+// --- Tuple index: differential against a std::set model --------------------
+
+using FactModel = std::set<std::pair<RelationId, std::vector<ConstId>>>;
+
+Schema MixedAritySchema() {
+  Schema s;
+  s.AddRelation("P", 0);
+  s.AddRelation("A", 1);
+  s.AddRelation("E", 2);
+  s.AddRelation("T", 3);
+  return s;
+}
+
+std::vector<ConstId> RandomArgs(base::Rng& rng, int arity,
+                                std::size_t num_consts) {
+  std::vector<ConstId> args;
+  for (int p = 0; p < arity; ++p) {
+    args.push_back(static_cast<ConstId>(rng.Below(num_consts)));
+  }
+  return args;
+}
+
+/// Checks `d` against `model`: per-relation counts, every stored tuple in
+/// the model exactly once, HasFact on every model fact, and FactsOf(c)
+/// naming exactly the facts that mention c (once each).
+void ExpectMatchesModel(const Instance& d, const FactModel& model) {
+  ASSERT_EQ(d.NumFacts(), model.size());
+  std::vector<std::size_t> per_rel(d.schema().NumRelations(), 0);
+  std::vector<std::set<std::pair<RelationId, std::vector<ConstId>>>>
+      expect_of(d.UniverseSize());
+  for (const auto& [r, args] : model) {
+    ++per_rel[r];
+    EXPECT_TRUE(d.HasFact(r, args));
+    for (ConstId c : args) expect_of[c].insert({r, args});
+  }
+  FactModel stored;
+  for (RelationId r = 0; r < d.schema().NumRelations(); ++r) {
+    ASSERT_EQ(d.NumTuples(r), per_rel[r]) << "relation " << r;
+    for (std::uint32_t i = 0; i < d.NumTuples(r); ++i) {
+      auto t = d.Tuple(r, i);
+      EXPECT_TRUE(stored.insert({r, {t.begin(), t.end()}}).second);
+    }
+  }
+  EXPECT_EQ(stored, model);
+  for (ConstId c = 0; c < d.UniverseSize(); ++c) {
+    std::set<std::pair<RelationId, std::vector<ConstId>>> got;
+    for (const FactRef& ref : d.FactsOf(c)) {
+      auto t = d.Tuple(ref.relation, ref.tuple_index);
+      EXPECT_TRUE(got.insert({ref.relation, {t.begin(), t.end()}}).second)
+          << "constant " << c << " lists a fact twice";
+    }
+    EXPECT_EQ(got, expect_of[c]) << "constant " << c;
+  }
+}
+
+TEST(TupleIndexTest, SeededAddRemoveHasMatchesSetModel) {
+  const Schema s = MixedAritySchema();
+  for (int seed = 0; seed < 8; ++seed) {
+    base::Rng rng(500 + seed);
+    Instance d(s);
+    const std::size_t num_consts = 4 + rng.Below(6);
+    for (std::size_t c = 0; c < num_consts; ++c) {
+      d.AddConstant("c" + std::to_string(c));
+    }
+    FactModel model;
+    for (int step = 0; step < 1500; ++step) {
+      const RelationId r = static_cast<RelationId>(rng.Below(4));
+      const std::vector<ConstId> args =
+          RandomArgs(rng, s.Arity(r), num_consts);
+      const bool present = model.count({r, args}) > 0;
+      switch (rng.Below(3)) {
+        case 0:
+          EXPECT_EQ(d.AddFact(r, args), !present);
+          model.insert({r, args});
+          break;
+        case 1:
+          EXPECT_EQ(d.RemoveFact(r, args), present);
+          model.erase({r, args});
+          break;
+        default:
+          EXPECT_EQ(d.HasFact(r, args), present);
+      }
+      if (step % 100 == 0) ExpectMatchesModel(d, model);
+    }
+    ExpectMatchesModel(d, model);
+    CheckColumnsMirrorTuples(d);
+  }
+}
+
+TEST(TupleIndexTest, GrowsThroughRehashesAndDrainsToEmpty) {
+  const Schema s = MixedAritySchema();
+  Instance d(s);
+  const std::size_t num_consts = 40;
+  for (std::size_t c = 0; c < num_consts; ++c) {
+    d.AddConstant("c" + std::to_string(c));
+  }
+  base::Rng rng(91);
+  FactModel model;
+  // Several thousand distinct facts per relation: the index table of
+  // each relation doubles many times over.
+  while (model.size() < 9000) {
+    const RelationId r = static_cast<RelationId>(1 + rng.Below(3));
+    const std::vector<ConstId> args = RandomArgs(rng, s.Arity(r), num_consts);
+    EXPECT_EQ(d.AddFact(r, args), model.insert({r, args}).second);
+  }
+  EXPECT_TRUE(d.AddFact(0, std::span<const ConstId>()));
+  EXPECT_FALSE(d.AddFact(0, std::span<const ConstId>()));
+  model.insert({RelationId{0}, std::vector<ConstId>{}});
+  ExpectMatchesModel(d, model);
+  CheckColumnsMirrorTuples(d);
+  // Drain in a seeded order, interleaving misses on absent tuples.
+  std::vector<std::pair<RelationId, std::vector<ConstId>>> order(
+      model.begin(), model.end());
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.Below(i)]);
+  }
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_TRUE(d.RemoveFact(order[i].first, order[i].second));
+    EXPECT_FALSE(d.HasFact(order[i].first, order[i].second));
+    EXPECT_FALSE(d.RemoveFact(order[i].first, order[i].second));
+    model.erase(order[i]);
+    if (i % 1500 == 0) ExpectMatchesModel(d, model);
+  }
+  ExpectMatchesModel(d, model);
+  for (RelationId r = 0; r < s.NumRelations(); ++r) {
+    EXPECT_EQ(d.NumTuples(r), 0u);
+  }
+}
+
+TEST(TupleIndexTest, CopiesAreIndependentInBothDirections) {
+  const Schema s = MixedAritySchema();
+  Instance a(s);
+  const std::size_t num_consts = 8;
+  for (std::size_t c = 0; c < num_consts; ++c) {
+    a.AddConstant("c" + std::to_string(c));
+  }
+  base::Rng rng(17);
+  FactModel model_a;
+  auto churn = [&](Instance& d, FactModel& model, int steps) {
+    for (int step = 0; step < steps; ++step) {
+      const RelationId r = static_cast<RelationId>(rng.Below(4));
+      const std::vector<ConstId> args =
+          RandomArgs(rng, s.Arity(r), num_consts);
+      if (rng.Chance(2, 3)) {
+        d.AddFact(r, args);
+        model.insert({r, args});
+      } else {
+        d.RemoveFact(r, args);
+        model.erase({r, args});
+      }
+    }
+  };
+  churn(a, model_a, 300);
+  const std::string a_text = a.ToString();
+
+  // Mutating the copy leaves the original untouched.
+  Instance b = a;
+  FactModel model_b = model_a;
+  churn(b, model_b, 300);
+  ExpectMatchesModel(a, model_a);
+  ExpectMatchesModel(b, model_b);
+  EXPECT_EQ(a.ToString(), a_text);
+
+  // Mutating the original leaves the copy untouched.
+  const std::string b_text = b.ToString();
+  Instance c = b;
+  churn(b, model_b, 300);
+  ExpectMatchesModel(b, model_b);
+  EXPECT_EQ(c.ToString(), b_text);
+
+  // Copy assignment over a populated instance, then mutate the source.
+  a = c;
+  churn(c, model_b, 200);
+  EXPECT_EQ(a.ToString(), b_text);
+}
+
+/// Pins the enumeration order (rel, i, Tuple(rel, i)) and the FactsOf
+/// lists after a seeded add/remove sequence: swap-last removal and append
+/// order are part of the contract (snapshots, groundings and answer
+/// digests depend on them), so any change to the tuple index must keep
+/// this digest.
+TEST(TupleIndexTest, EnumerationOrderIsPinned) {
+  const Schema s = MixedAritySchema();
+  Instance d(s);
+  const std::size_t num_consts = 10;
+  for (std::size_t c = 0; c < num_consts; ++c) {
+    d.AddConstant("c" + std::to_string(c));
+  }
+  base::Rng rng(2024);
+  for (int step = 0; step < 3000; ++step) {
+    const RelationId r = static_cast<RelationId>(rng.Below(4));
+    if (rng.Chance(3, 5) || d.NumTuples(r) == 0) {
+      d.AddFact(r, RandomArgs(rng, s.Arity(r), num_consts));
+    } else {
+      // Remove a stored tuple (its own index, so swap-last engages).
+      auto t = d.Tuple(r, static_cast<std::uint32_t>(
+                              rng.Below(d.NumTuples(r))));
+      std::vector<ConstId> args(t.begin(), t.end());
+      EXPECT_TRUE(d.RemoveFact(r, args));
+    }
+  }
+  std::uint64_t h = base::kFnvOffsetBasis;
+  for (RelationId r = 0; r < s.NumRelations(); ++r) {
+    for (std::uint32_t i = 0; i < d.NumTuples(r); ++i) {
+      h = base::Fnv1aU64(h, r);
+      h = base::Fnv1aU64(h, i);
+      for (ConstId c : d.Tuple(r, i)) h = base::Fnv1aU64(h, c);
+    }
+  }
+  for (ConstId c = 0; c < d.UniverseSize(); ++c) {
+    for (const FactRef& ref : d.FactsOf(c)) {
+      h = base::Fnv1aU64(h, ref.relation);
+      h = base::Fnv1aU64(h, ref.tuple_index);
+    }
+  }
+  EXPECT_EQ(d.NumFacts(), 180u);
+  EXPECT_EQ(h, 11999438436219013824ULL);
 }
 
 }  // namespace

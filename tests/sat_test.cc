@@ -163,10 +163,11 @@ TEST(SatTest, ReductionPolicyFires) {
 
 TEST(SatTest, BackjumpsAndRestartsAreCounted) {
   Solver s;
-  AddPigeonhole(&s, 11, 10);
+  AddPigeonhole(&s, 6, 5);
   EXPECT_EQ(s.Solve(), SatOutcome::kUnsat);
-  // PHP(11,10) takes over 100 conflicts, so the Luby policy restarts at
-  // least once, and 1-UIP backjumps skip levels along the way.
+  // PHP(6,5) is the smallest PHP(n+1,n) past 100 conflicts, so the Luby
+  // policy restarts at least once, and 1-UIP backjumps skip levels along
+  // the way.
   EXPECT_GT(s.stats().restarts, 0u);
   EXPECT_GT(s.stats().backjump_levels, 0u);
 }

@@ -138,6 +138,46 @@ TEST(SessionTest, MaterializationIsDeterministicAndCached) {
   EXPECT_EQ(sa.instance->ToString(), sb.instance->ToString());
 }
 
+TEST(SessionTest, IncrementalSnapshotsMatchRebuildUnderChurn) {
+  Session session(ElSchema());
+  base::Rng rng(404);
+  std::vector<Fact> live;
+  // A bulk to copy, then 500 single-fact flips: retracts of live facts
+  // and asserts whose constants are often new to the session.
+  for (int i = 0; i < 200; ++i) {
+    Fact f = RandomFact(rng, 30);
+    if (*session.Assert(f)) live.push_back(std::move(f));
+  }
+  ASSERT_NE(session.Materialize().instance, nullptr);
+  int next_constant = 30;
+  std::vector<std::pair<Session::Snapshot, std::string>> pinned;
+  for (int flip = 0; flip < 500; ++flip) {
+    if (!live.empty() && rng.Chance(1, 2)) {
+      const std::size_t i = rng.Below(live.size());
+      ASSERT_TRUE(*session.Retract(live[i]));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      Fact f = RandomFact(rng, 30);
+      if (rng.Chance(1, 3)) f.args[0] = "n" + std::to_string(next_constant++);
+      if (!*session.Assert(f)) continue;
+      live.push_back(std::move(f));
+    }
+    const Session::Snapshot snap = session.Materialize();
+    Session rebuilt(ElSchema());
+    for (const Fact& f : live) ASSERT_TRUE(*rebuilt.Assert(f));
+    const data::Instance& fresh = *rebuilt.Materialize().instance;
+    ASSERT_TRUE(snap.instance->SameFactsAs(fresh)) << "flip " << flip;
+    ASSERT_TRUE(fresh.SameFactsAs(*snap.instance)) << "flip " << flip;
+    EXPECT_EQ(snap.instance->NumFacts(), live.size());
+    if (flip % 25 == 0) pinned.emplace_back(snap, snap.instance->ToString());
+  }
+  // Snapshots pinned by earlier generations never move.
+  for (const auto& [snap, text] : pinned) {
+    EXPECT_EQ(snap.instance->ToString(), text)
+        << "generation " << snap.generation;
+  }
+}
+
 // --- Prepared vs direct, across mutations, at every thread count ------------
 
 class PreparedVsDirectTest
